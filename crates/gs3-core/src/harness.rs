@@ -901,6 +901,17 @@ mod tests {
     }
 
     #[test]
+    fn queued_event_stays_48_bytes() {
+        // Every queued event pays for any field added to the engine's
+        // pending-event record: a broadcast schedules one event per
+        // receiver, and a large run holds hundreds of thousands at once.
+        // Payloads, episode tags and airtime windows are stored once per
+        // transmission in the engine's slab, not per queued event.
+        let bytes = Engine::<Gs3Node>::queued_event_bytes();
+        assert!(bytes <= 48, "a queued event grew to {bytes} bytes");
+    }
+
+    #[test]
     fn incremental_invariants_match_full_rebuild() {
         let mut net = NetworkBuilder::new()
             .area_radius(180.0)

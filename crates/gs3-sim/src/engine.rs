@@ -8,6 +8,21 @@
 //! timers, reserve the channel, power off). This enforces the paper's
 //! *local-knowledge* discipline — a node can only learn about the network
 //! through messages.
+//!
+//! # Transmission slab
+//!
+//! A transmission is stored once, in the engine's `TxSlab`, however many
+//! receivers it reaches: its payload, sender, `directed` flag, episode tag
+//! and [`TxWindow`] (tag and window are per transmission, written by the
+//! carrier-sense attempt that goes on the air). Queued deliveries and carrier-sense resends
+//! carry only a `u32` slot index, so a queued event is 48 bytes for the
+//! GS³ protocol however large its messages are. Each slot counts the
+//! queued events referring to it; a delivery whose handler runs takes the
+//! payload — moved out by the last reference, cloned by the others — and
+//! every other fate (dead or drained receiver, collision, exhausted
+//! backoff, failed or dropped unicast) releases its reference unread. The
+//! last release returns the slot to the free list, so between steps a slot
+//! is live exactly while some queued event refers to it.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -216,31 +231,156 @@ impl<M, T> Context<'_, M, T> {
 }
 
 #[derive(Debug, Clone)]
-enum EventKind<M, T> {
+enum EventKind<T> {
     Start,
-    Deliver { from: NodeId, msg: M, directed: bool },
+    /// One copy of a transmission reaching the event target; sender,
+    /// payload and `directed` live in the slab slot.
+    Deliver { slot: u32 },
     Timer { timer_id: u64, timer: T },
     ChannelGrant,
     /// A carrier-sense-deferred unicast retrying after backoff (the event
     /// target is the sender; only scheduled while contention is enabled).
-    ResendUnicast { to: NodeId, msg: M, attempt: u32 },
+    ResendUnicast { to: NodeId, slot: u32, attempt: u32 },
     /// A carrier-sense-deferred broadcast retrying after backoff.
-    ResendBroadcast { radius: f64, msg: M, attempt: u32 },
+    ResendBroadcast { radius: f64, slot: u32, attempt: u32 },
 }
 
+impl<T> EventKind<T> {
+    /// The transmission slot this event holds a reference to, if any.
+    fn slot(&self) -> Option<u32> {
+        match self {
+            EventKind::Deliver { slot }
+            | EventKind::ResendUnicast { slot, .. }
+            | EventKind::ResendBroadcast { slot, .. } => Some(*slot),
+            EventKind::Start | EventKind::Timer { .. } | EventKind::ChannelGrant => None,
+        }
+    }
+}
+
+/// One queued event. Every field here is paid once per pending event —
+/// hundreds of thousands at a time in a large run — which is why the
+/// payload of a transmission lives in the [`TxSlab`] and only its index
+/// rides the queue.
 #[derive(Debug, Clone)]
-struct PendingEvent<M, T> {
+struct PendingEvent<T> {
     to: NodeId,
-    kind: EventKind<M, T>,
-    /// Packed healing-episode tag ([`gs3_telemetry::pack_tag`]); 0 = none.
-    /// Rides the queue so causal attribution needs no RNG and no extra
-    /// scheduling — the digest stream is untouched by telemetry.
+    kind: EventKind<T>,
+}
+
+/// One transmission, stored once however many queued events refer to it.
+#[derive(Debug, Clone)]
+struct Transmission<M> {
+    /// The payload; `None` while the slot is on the free list.
+    msg: Option<M>,
+    from: NodeId,
+    /// Unicast (`true`) or broadcast copy — the causal-taint rule.
+    directed: bool,
+    /// Packed healing-episode tag ([`gs3_telemetry::pack_tag`]) of the
+    /// attempt that went on the air; 0 = none. Causal attribution therefore needs no RNG
+    /// and no extra scheduling — the digest stream is untouched by
+    /// telemetry.
     tag: u64,
-    /// The airtime window of the transmission that scheduled this delivery
+    /// Airtime window of the attempt that went on the air
     /// ([`TxWindow::NONE`] unless contention is enabled), consulted at
-    /// delivery time for receiver-side collision detection. Like `tag`,
-    /// excluded from every determinism hash.
+    /// delivery for receiver-side collision detection. Like `tag`, excluded
+    /// from every determinism hash.
     tx: TxWindow,
+    /// Queued events holding this slot's index (plus one while an attempt
+    /// is in progress).
+    refs: u32,
+}
+
+/// The engine's transmission store: a slot vector plus a free list.
+///
+/// A transmission attempt's deliveries (or its single carrier-sense
+/// resend) each hold a counted reference; the last one to be released
+/// frees the slot for reuse. Between engine steps `refs` equals the number
+/// of queued events carrying the slot index, so a drained queue leaves no
+/// live slot. `tag` and `tx` are written by the carrier-sense attempt that
+/// goes on the air; an attempt that defers schedules only its resend, so
+/// every queued delivery of a slot comes from that one attempt.
+#[derive(Debug, Clone)]
+struct TxSlab<M> {
+    slots: Vec<Transmission<M>>,
+    free: Vec<u32>,
+}
+
+impl<M: Clone> TxSlab<M> {
+    fn new() -> Self {
+        TxSlab { slots: Vec::new(), free: Vec::new() }
+    }
+
+    /// Stores a new transmission holding one reference (the caller's).
+    fn insert(&mut self, msg: M, from: NodeId, directed: bool) -> u32 {
+        let t = Transmission {
+            msg: Some(msg),
+            from,
+            directed,
+            tag: NO_TAG,
+            tx: TxWindow::NONE,
+            refs: 1,
+        };
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = t;
+                slot
+            }
+            None => {
+                let slot =
+                    u32::try_from(self.slots.len()).expect("more than 2^32 live transmissions");
+                self.slots.push(t);
+                slot
+            }
+        }
+    }
+
+    fn get(&self, slot: u32) -> &Transmission<M> {
+        &self.slots[slot as usize]
+    }
+
+    fn get_mut(&mut self, slot: u32) -> &mut Transmission<M> {
+        &mut self.slots[slot as usize]
+    }
+
+    /// The payload of a live slot.
+    fn msg(&self, slot: u32) -> &M {
+        self.get(slot).msg.as_ref().expect("live transmission slot")
+    }
+
+    /// Adds one reference (a newly queued event).
+    fn retain(&mut self, slot: u32) {
+        self.get_mut(slot).refs += 1;
+    }
+
+    /// Drops one reference without reading the payload; the last one
+    /// frees the slot.
+    fn release(&mut self, slot: u32) {
+        let t = &mut self.slots[slot as usize];
+        t.refs -= 1;
+        if t.refs == 0 {
+            t.msg = None;
+            self.free.push(slot);
+        }
+    }
+
+    /// Drops one reference and hands back the payload: moved out by the
+    /// last reference, cloned by the others.
+    fn take(&mut self, slot: u32) -> M {
+        let t = &mut self.slots[slot as usize];
+        t.refs -= 1;
+        if t.refs == 0 {
+            self.free.push(slot);
+            t.msg.take().expect("live transmission slot")
+        } else {
+            t.msg.clone().expect("live transmission slot")
+        }
+    }
+
+    /// Slots currently holding a transmission.
+    #[cfg(test)]
+    fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
 }
 
 /// Dense per-node storage in structure-of-arrays layout, indexed by
@@ -336,7 +476,9 @@ pub struct Engine<N: Node> {
     energy_model: EnergyModel,
     arena: Arena<N>,
     grid: crate::spatial::SpatialGrid,
-    queue: EventQueue<PendingEvent<N::Msg, N::Timer>>,
+    queue: EventQueue<PendingEvent<N::Timer>>,
+    /// Payloads of the transmissions queued events refer to.
+    slab: TxSlab<N::Msg>,
     channel: ChannelManager,
     faults: FaultState,
     contention: ContentionConfig,
@@ -375,6 +517,7 @@ impl<N: Node + Clone> Clone for Engine<N> {
             arena: self.arena.clone(),
             grid: self.grid.clone(),
             queue: self.queue.clone(),
+            slab: self.slab.clone(),
             channel: self.channel.clone(),
             faults: self.faults.clone(),
             contention: self.contention.clone(),
@@ -404,6 +547,7 @@ impl<N: Node> Engine<N> {
             arena: Arena::new(),
             grid: crate::spatial::SpatialGrid::new(cell),
             queue: EventQueue::new(),
+            slab: TxSlab::new(),
             channel: ChannelManager::new(),
             faults: FaultState::default(),
             contention: ContentionConfig::disabled(),
@@ -483,6 +627,14 @@ impl<N: Node> Engine<N> {
     #[must_use]
     pub fn peak_queue_depth(&self) -> usize {
         self.queue.peak_len()
+    }
+
+    /// Bytes one pending event occupies in the event queue. A transmission
+    /// is stored once, outside the queue, so this is also what each
+    /// scheduled delivery of a broadcast costs.
+    #[must_use]
+    pub const fn queued_event_bytes() -> usize {
+        crate::queue::entry_bytes::<PendingEvent<N::Timer>>()
     }
 
     /// Run statistics.
@@ -582,7 +734,7 @@ impl<N: Node> Engine<N> {
         self.arena.push(node, position, energy.unwrap_or(UNLIMITED_ENERGY), self.now);
         self.queue.schedule(
             at,
-            PendingEvent { to: id, kind: EventKind::Start, tag: NO_TAG, tx: TxWindow::NONE },
+            PendingEvent { to: id, kind: EventKind::Start },
         );
         id
     }
@@ -622,15 +774,9 @@ impl<N: Node> Engine<N> {
         after: SimDuration,
     ) -> Result<(), EngineError> {
         self.check(to)?;
-        self.queue.schedule(
-            self.now + after,
-            PendingEvent {
-                to,
-                kind: EventKind::Deliver { from, msg, directed: true },
-                tag: NO_TAG,
-                tx: TxWindow::NONE,
-            },
-        );
+        let slot = self.slab.insert(msg, from, true);
+        let at = self.now + after;
+        self.queue.schedule(at, PendingEvent { to, kind: EventKind::Deliver { slot } });
         Ok(())
     }
 
@@ -650,12 +796,7 @@ impl<N: Node> Engine<N> {
         self.arena.pending_timers[idx].push((timer_id, timer.clone()));
         self.queue.schedule(
             self.now + after,
-            PendingEvent {
-                to,
-                kind: EventKind::Timer { timer_id, timer },
-                tag: NO_TAG,
-                tx: TxWindow::NONE,
-            },
+            PendingEvent { to, kind: EventKind::Timer { timer_id, timer } },
         );
         Ok(())
     }
@@ -704,12 +845,7 @@ impl<N: Node> Engine<N> {
         for &granted in &newly {
             self.queue.schedule(
                 self.now + self.radio.base_latency,
-                PendingEvent {
-                    to: granted,
-                    kind: EventKind::ChannelGrant,
-                    tag: NO_TAG,
-                    tx: TxWindow::NONE,
-                },
+                PendingEvent { to: granted, kind: EventKind::ChannelGrant },
             );
         }
         newly.clear();
@@ -876,10 +1012,11 @@ impl<N: Node> Engine<N> {
                 eat(&mut h, &ev.to.raw().to_le_bytes());
                 match &ev.kind {
                     EventKind::Start => eat(&mut h, &[0]),
-                    EventKind::Deliver { from, msg, directed } => {
-                        eat(&mut h, &[1, u8::from(*directed)]);
-                        eat(&mut h, &from.raw().to_le_bytes());
-                        eat(&mut h, format!("{msg:?}").as_bytes());
+                    EventKind::Deliver { slot } => {
+                        let t = self.slab.get(*slot);
+                        eat(&mut h, &[1, u8::from(t.directed)]);
+                        eat(&mut h, &t.from.raw().to_le_bytes());
+                        eat(&mut h, format!("{:?}", self.slab.msg(*slot)).as_bytes());
                     }
                     EventKind::Timer { timer_id, timer } => {
                         let live = self.arena.pending_timers.get(ev.to.index()).is_some_and(|t| {
@@ -889,17 +1026,17 @@ impl<N: Node> Engine<N> {
                         eat(&mut h, format!("{timer:?}").as_bytes());
                     }
                     EventKind::ChannelGrant => eat(&mut h, &[3]),
-                    EventKind::ResendUnicast { to, msg, attempt } => {
+                    EventKind::ResendUnicast { to, slot, attempt } => {
                         eat(&mut h, &[4]);
                         eat(&mut h, &to.raw().to_le_bytes());
                         eat(&mut h, &attempt.to_le_bytes());
-                        eat(&mut h, format!("{msg:?}").as_bytes());
+                        eat(&mut h, format!("{:?}", self.slab.msg(*slot)).as_bytes());
                     }
-                    EventKind::ResendBroadcast { radius, msg, attempt } => {
+                    EventKind::ResendBroadcast { radius, slot, attempt } => {
                         eat(&mut h, &[5]);
                         eat(&mut h, &radius.to_bits().to_le_bytes());
                         eat(&mut h, &attempt.to_le_bytes());
-                        eat(&mut h, format!("{msg:?}").as_bytes());
+                        eat(&mut h, format!("{:?}", self.slab.msg(*slot)).as_bytes());
                     }
                 }
                 h
@@ -907,27 +1044,31 @@ impl<N: Node> Engine<N> {
             .collect()
     }
 
-    fn dispatch(&mut self, ev: PendingEvent<N::Msg, N::Timer>) {
+    fn dispatch(&mut self, ev: PendingEvent<N::Timer>) {
         let idx = ev.to.index();
-        if !self.arena.alive.get(idx).copied().unwrap_or(false) {
-            return;
-        }
-        // Settle the idle-listening drain accrued since this node last
-        // handled an event; a node whose battery ran dry while idle dies
-        // here and never sees the event. No-op (and no column touch) when
-        // the model has no idle term, so idle-free runs stay byte-equal.
-        if self.settle_idle(ev.to) {
+        // A dead target drops the event. Otherwise settle the idle-listening
+        // drain accrued since this node last handled an event; a node whose
+        // battery ran dry while idle dies here and never sees the event.
+        // No-op (and no column touch) when the model has no idle term, so
+        // idle-free runs stay byte-equal. A dropped event releases its
+        // transmission reference unread.
+        if !self.arena.alive.get(idx).copied().unwrap_or(false) || self.settle_idle(ev.to) {
+            if let Some(slot) = ev.kind.slot() {
+                self.slab.release(slot);
+            }
             return;
         }
         match ev.kind {
             EventKind::Start => self.with_ctx(ev.to, |node, ctx| node.on_start(ctx)),
-            EventKind::Deliver { from, msg, directed } => {
+            EventKind::Deliver { slot } => {
+                let t = self.slab.get(slot);
+                let (from, directed, tag, tx) = (t.from, t.directed, t.tag, t.tx);
                 // Receiver-side collision detection: a frame whose airtime
                 // window overlapped another transmission audible here was
                 // corrupted on the air — including by hidden terminals the
                 // sender's carrier sense could not hear. One branch when
                 // contention is off (tx is the NONE sentinel).
-                if !ev.tx.is_none() && self.medium.collides(ev.tx, self.arena.positions[idx]) {
+                if !tx.is_none() && self.medium.collides(tx, self.arena.positions[idx]) {
                     self.trace.record_mac_collision();
                     self.arena.mac_events[idx] += 1;
                     if self.telemetry.recorder.is_recording() {
@@ -935,14 +1076,15 @@ impl<N: Node> Engine<N> {
                             t_us: self.now.as_micros(),
                             node: ev.to.raw(),
                             class: EventClass::MacCollision,
-                            kind: msg.kind(),
+                            kind: self.slab.msg(slot).kind(),
                             peer: from.raw(),
-                            episode: tag_episode(ev.tag),
+                            episode: tag_episode(tag),
                             data: 0,
                         });
                     } else {
                         self.telemetry.recorder.count_only(EventClass::MacCollision);
                     }
+                    self.slab.release(slot);
                     // The radio still listened to the corrupted frame.
                     let rx = self.energy_model.rx;
                     self.charge(ev.to, rx);
@@ -953,18 +1095,18 @@ impl<N: Node> Engine<N> {
                 // taints the receiver one hop deeper into the episode —
                 // but only a *directed* (unicast) delivery propagates
                 // taint; broadcast receptions are ambient and only count.
-                if ev.tag != NO_TAG {
+                if tag != NO_TAG {
                     let pos = self.arena.positions[idx];
-                    self.telemetry.episodes.on_delivery(ev.tag, ev.to.raw(), (pos.x, pos.y), directed);
+                    self.telemetry.episodes.on_delivery(tag, ev.to.raw(), (pos.x, pos.y), directed);
                 }
                 if self.telemetry.recorder.is_recording() {
                     self.telemetry.recorder.record(Event {
                         t_us: self.now.as_micros(),
                         node: ev.to.raw(),
                         class: EventClass::Delivery,
-                        kind: msg.kind(),
+                        kind: self.slab.msg(slot).kind(),
                         peer: from.raw(),
-                        episode: tag_episode(ev.tag),
+                        episode: tag_episode(tag),
                         data: 0,
                     });
                 } else {
@@ -972,8 +1114,11 @@ impl<N: Node> Engine<N> {
                 }
                 let rx = self.energy_model.rx;
                 if self.charge(ev.to, rx) {
+                    self.slab.release(slot);
                     return;
                 }
+                // Only a handler that runs gets (a copy of) the payload.
+                let msg = self.slab.take(slot);
                 self.with_ctx(ev.to, |node, ctx| node.on_message(from, msg, ctx));
             }
             EventKind::Timer { timer_id, timer } => {
@@ -1006,11 +1151,11 @@ impl<N: Node> Engine<N> {
             EventKind::ChannelGrant => {
                 self.with_ctx(ev.to, |node, ctx| node.on_channel_granted(ctx));
             }
-            EventKind::ResendUnicast { to, msg, attempt } => {
-                self.try_unicast(ev.to, to, msg, attempt);
+            EventKind::ResendUnicast { to, slot, attempt } => {
+                self.try_unicast(ev.to, to, slot, attempt);
             }
-            EventKind::ResendBroadcast { radius, msg, attempt } => {
-                self.try_broadcast(ev.to, radius, msg, attempt);
+            EventKind::ResendBroadcast { radius, slot, attempt } => {
+                self.try_broadcast(ev.to, radius, slot, attempt);
             }
         }
     }
@@ -1095,12 +1240,7 @@ impl<N: Node> Engine<N> {
                     self.arena.pending_timers[id.index()].push((timer_id, timer.clone()));
                     self.queue.schedule(
                         self.now + after,
-                        PendingEvent {
-                            to: id,
-                            kind: EventKind::Timer { timer_id, timer },
-                            tag: NO_TAG,
-                            tx: TxWindow::NONE,
-                        },
+                        PendingEvent { to: id, kind: EventKind::Timer { timer_id, timer } },
                     );
                 }
                 Action::CancelTimers { timer } => {
@@ -1113,12 +1253,7 @@ impl<N: Node> Engine<N> {
                     if self.channel.request(id, pos, radius) {
                         self.queue.schedule(
                             self.now + self.radio.base_latency,
-                            PendingEvent {
-                                to: id,
-                                kind: EventKind::ChannelGrant,
-                                tag: NO_TAG,
-                                tx: TxWindow::NONE,
-                            },
+                            PendingEvent { to: id, kind: EventKind::ChannelGrant },
                         );
                     }
                 }
@@ -1128,12 +1263,7 @@ impl<N: Node> Engine<N> {
                     for &granted in &newly {
                         self.queue.schedule(
                             self.now + self.radio.base_latency,
-                            PendingEvent {
-                                to: granted,
-                                kind: EventKind::ChannelGrant,
-                                tag: NO_TAG,
-                                tx: TxWindow::NONE,
-                            },
+                            PendingEvent { to: granted, kind: EventKind::ChannelGrant },
                         );
                     }
                     newly.clear();
@@ -1159,21 +1289,17 @@ impl<N: Node> Engine<N> {
     }
 
     /// Decides the adversarial fate of one in-range delivery attempt and,
-    /// when it survives, schedules it (and a possible duplicate). Every
-    /// scheduled copy is folded into the trace digest. With an inert fault
-    /// state this draws exactly one latency sample — bit-identical to the
-    /// pre-fault engine.
-    #[allow(clippy::too_many_arguments)]
+    /// when it survives, schedules it (and a possible duplicate) as
+    /// references to the transmission in `slot`. Every scheduled copy is
+    /// folded into the trace digest. With an inert fault state this draws
+    /// exactly one latency sample — bit-identical to the pre-fault engine.
     fn schedule_delivery(
         &mut self,
-        from: NodeId,
+        slot: u32,
         to: NodeId,
         dist: f64,
-        msg: &N::Msg,
-        tag: u64,
-        directed: bool,
+        kind: &'static str,
         fate: Option<Fate>,
-        tx: TxWindow,
     ) {
         let copies = match fate {
             Some(Fate::Duplicate) => {
@@ -1190,6 +1316,7 @@ impl<N: Node> Engine<N> {
                 }
             }
         };
+        let from = self.slab.get(slot).from;
         for _ in 0..copies {
             let mut latency = self.radio.latency(dist, &mut self.rng);
             let extra = match fate {
@@ -1207,16 +1334,9 @@ impl<N: Node> Engine<N> {
             }
             self.telemetry.metrics.delivery_latency_us.record(latency.as_micros());
             let at = self.now + latency;
-            self.trace.record_scheduled_delivery(at.as_micros(), from.raw(), to.raw(), msg.kind());
-            self.queue.schedule(
-                at,
-                PendingEvent {
-                    to,
-                    kind: EventKind::Deliver { from, msg: msg.clone(), directed },
-                    tag,
-                    tx,
-                },
-            );
+            self.trace.record_scheduled_delivery(at.as_micros(), from.raw(), to.raw(), kind);
+            self.slab.retain(slot);
+            self.queue.schedule(at, PendingEvent { to, kind: EventKind::Deliver { slot } });
         }
     }
 
@@ -1238,8 +1358,9 @@ impl<N: Node> Engine<N> {
     /// Handles a carrier-sense deferral of `resend` (contention path
     /// only): drops the frame once the retry budget is exhausted,
     /// otherwise schedules the resend after a seeded slotted exponential
-    /// backoff — `1..=cw` whole slots, with `cw` doubling per retry.
-    fn mac_defer(&mut self, from: NodeId, resend: EventKind<N::Msg, N::Timer>, attempt: u32) {
+    /// backoff — `1..=cw` whole slots, with `cw` doubling per retry. A
+    /// scheduled resend takes its own reference to the transmission slot.
+    fn mac_defer(&mut self, from: NodeId, resend: EventKind<N::Timer>, attempt: u32) {
         self.arena.mac_events[from.index()] += 1;
         if attempt >= self.contention.max_backoffs {
             self.trace.record_mac_backoff_exhausted();
@@ -1274,10 +1395,11 @@ impl<N: Node> Engine<N> {
         }
         let cw = self.contention.window(attempt);
         let slots = u64::from(self.rng.gen_range(1..=cw));
-        self.queue.schedule(
-            self.now + self.contention.slot * slots,
-            PendingEvent { to: from, kind: resend, tag: NO_TAG, tx: TxWindow::NONE },
-        );
+        if let Some(slot) = resend.slot() {
+            self.slab.retain(slot);
+        }
+        let at = self.now + self.contention.slot * slots;
+        self.queue.schedule(at, PendingEvent { to: from, kind: resend });
     }
 
     /// Records a scripted [`Fate::Collide`] against the receiver: the
@@ -1305,13 +1427,20 @@ impl<N: Node> Engine<N> {
     fn do_unicast(&mut self, from: NodeId, to: NodeId, msg: N::Msg) {
         use crate::engine::Payload as _;
         self.trace.record_unicast(msg.kind());
-        self.try_unicast(from, to, msg, 0);
+        let slot = self.slab.insert(msg, from, true);
+        self.try_unicast(from, to, slot, 0);
     }
 
-    /// One unicast transmission attempt (attempt 0 is the original send;
-    /// higher attempts are carrier-sense backoff retries and only occur
-    /// while contention is enabled).
-    fn try_unicast(&mut self, from: NodeId, to: NodeId, msg: N::Msg, attempt: u32) {
+    /// One unicast transmission attempt of the transmission in `slot`
+    /// (attempt 0 is the original send; higher attempts are carrier-sense
+    /// backoff retries and only occur while contention is enabled).
+    /// Consumes the caller's reference to the slot.
+    fn try_unicast(&mut self, from: NodeId, to: NodeId, slot: u32, attempt: u32) {
+        self.unicast_attempt(from, to, slot, attempt);
+        self.slab.release(slot);
+    }
+
+    fn unicast_attempt(&mut self, from: NodeId, to: NodeId, slot: u32, attempt: u32) {
         use crate::engine::Payload as _;
         let tag = self.episode_tag(from);
         let from_pos = self.arena.positions[from.index()];
@@ -1326,12 +1455,14 @@ impl<N: Node> Engine<N> {
             self.charge(from, self.energy_model.tx_cost(dist.min(self.radio.max_range)));
             return;
         }
+        let msg = self.slab.msg(slot);
+        let kind = msg.kind();
         // Carrier sense: while any audible transmission is on the air the
         // sender defers instead of transmitting. Skipped entirely (no RNG,
         // no events, no counters) while contention is disabled.
         let tx = if self.contention.enabled {
             if self.medium.busy(self.now.as_micros(), from_pos) {
-                let resend = EventKind::ResendUnicast { to, msg, attempt: attempt + 1 };
+                let resend = EventKind::ResendUnicast { to, slot, attempt: attempt + 1 };
                 self.mac_defer(from, resend, attempt);
                 return;
             }
@@ -1340,14 +1471,16 @@ impl<N: Node> Engine<N> {
         } else {
             TxWindow::NONE
         };
+        let t = self.slab.get_mut(slot);
+        (t.tag, t.tx) = (tag, tx);
         // A scripted fate (the model checker's delivery-decision point)
         // overrides the probabilistic cascade; unscripted attempts fall
         // through to it. Jamming is geometric (RNG-free); the rest draw
         // from the engine RNG only when the knob is enabled.
-        match self.faults.next_attempt(from, to, msg.kind(), false) {
+        match self.faults.next_attempt(from, to, kind, false) {
             Some(Fate::Drop) => self.trace.record_scripted_drop(),
-            Some(Fate::Collide) => self.scripted_collision(from, to, msg.kind()),
-            Some(fate) => self.schedule_delivery(from, to, dist, &msg, tag, true, Some(fate), tx),
+            Some(Fate::Collide) => self.scripted_collision(from, to, kind),
+            Some(fate) => self.schedule_delivery(slot, to, dist, kind, Some(fate)),
             None => {
                 if self.faults.jammed(from_pos, target_pos) {
                     self.trace.record_dropped_by_jam();
@@ -1356,7 +1489,7 @@ impl<N: Node> Engine<N> {
                 } else if self.faults.unicast_dropped(&mut self.rng) {
                     self.trace.record_dropped_unicast();
                 } else {
-                    self.schedule_delivery(from, to, dist, &msg, tag, true, None, tx);
+                    self.schedule_delivery(slot, to, dist, kind, None);
                 }
             }
         }
@@ -1366,20 +1499,29 @@ impl<N: Node> Engine<N> {
     fn do_broadcast(&mut self, from: NodeId, radius: f64, msg: N::Msg) {
         use crate::engine::Payload as _;
         self.trace.record_broadcast(msg.kind());
-        self.try_broadcast(from, radius, msg, 0);
+        let slot = self.slab.insert(msg, from, false);
+        self.try_broadcast(from, radius, slot, 0);
     }
 
-    /// One broadcast transmission attempt (attempt 0 is the original send;
-    /// higher attempts are carrier-sense backoff retries and only occur
-    /// while contention is enabled).
-    fn try_broadcast(&mut self, from: NodeId, radius: f64, msg: N::Msg, attempt: u32) {
+    /// One broadcast transmission attempt of the transmission in `slot`
+    /// (attempt 0 is the original send; higher attempts are carrier-sense
+    /// backoff retries and only occur while contention is enabled).
+    /// Consumes the caller's reference to the slot.
+    fn try_broadcast(&mut self, from: NodeId, radius: f64, slot: u32, attempt: u32) {
+        self.broadcast_attempt(from, radius, slot, attempt);
+        self.slab.release(slot);
+    }
+
+    fn broadcast_attempt(&mut self, from: NodeId, radius: f64, slot: u32, attempt: u32) {
         use crate::engine::Payload as _;
         let tag = self.episode_tag(from);
         let range = self.radio.effective_range(radius);
         let from_pos = self.arena.positions[from.index()];
+        let msg = self.slab.msg(slot);
+        let kind = msg.kind();
         let tx = if self.contention.enabled {
             if self.medium.busy(self.now.as_micros(), from_pos) {
-                let resend = EventKind::ResendBroadcast { radius, msg, attempt: attempt + 1 };
+                let resend = EventKind::ResendBroadcast { radius, slot, attempt: attempt + 1 };
                 self.mac_defer(from, resend, attempt);
                 return;
             }
@@ -1388,6 +1530,8 @@ impl<N: Node> Engine<N> {
         } else {
             TxWindow::NONE
         };
+        let t = self.slab.get_mut(slot);
+        (t.tag, t.tx) = (tag, tx);
         let mut receivers = std::mem::take(&mut self.recv_buf);
         debug_assert!(receivers.is_empty());
         self.grid.for_each_candidate(from_pos, range, |h| {
@@ -1407,17 +1551,17 @@ impl<N: Node> Engine<N> {
                 continue;
             }
             let to = NodeId::from_index(h);
-            match self.faults.next_attempt(from, to, msg.kind(), true) {
+            match self.faults.next_attempt(from, to, kind, true) {
                 Some(Fate::Drop) => {
                     self.trace.record_scripted_drop();
                     continue;
                 }
                 Some(Fate::Collide) => {
-                    self.scripted_collision(from, to, msg.kind());
+                    self.scripted_collision(from, to, kind);
                     continue;
                 }
                 Some(fate) => {
-                    self.schedule_delivery(from, to, dist, &msg, tag, false, Some(fate), tx);
+                    self.schedule_delivery(slot, to, dist, kind, Some(fate));
                     continue;
                 }
                 None => {}
@@ -1434,7 +1578,7 @@ impl<N: Node> Engine<N> {
                 self.trace.record_dropped_by_burst();
                 continue;
             }
-            self.schedule_delivery(from, to, dist, &msg, tag, false, None, tx);
+            self.schedule_delivery(slot, to, dist, kind, None);
         }
         receivers.clear();
         self.recv_buf = receivers;
@@ -2183,5 +2327,280 @@ mod tests {
         let rec = &eng.telemetry().recorder;
         assert_eq!(rec.of_class(EventClass::MacDefer), eng.trace().mac_defers());
         assert_eq!(rec.of_class(EventClass::MacCollision), eng.trace().mac_collisions());
+    }
+
+    /// A finite-lived talker for the transmission-slab tests: every 10 ms,
+    /// for `rounds` ticks, it broadcasts over `radius` (when positive) and
+    /// unicasts to each of `targets`. A node with no rounds only listens,
+    /// so every run drains its queue.
+    #[derive(Debug, Clone, Default)]
+    struct Talker {
+        rounds: u32,
+        radius: f64,
+        targets: Vec<NodeId>,
+        received: u32,
+    }
+
+    impl Talker {
+        fn new(rounds: u32, radius: f64, targets: Vec<NodeId>) -> Self {
+            Talker { rounds, radius, targets, received: 0 }
+        }
+    }
+
+    impl Node for Talker {
+        type Msg = Hop;
+        type Timer = T;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, Hop, T>) {
+            if self.rounds > 0 {
+                ctx.set_timer(SimDuration::from_millis(10), T::Tick);
+            }
+        }
+
+        fn on_message(&mut self, _from: NodeId, _msg: Hop, _ctx: &mut Context<'_, Hop, T>) {
+            self.received += 1;
+        }
+
+        fn on_timer(&mut self, _t: T, ctx: &mut Context<'_, Hop, T>) {
+            self.rounds -= 1;
+            if self.radius > 0.0 {
+                ctx.broadcast(self.radius, Hop(self.rounds));
+            }
+            for &to in &self.targets {
+                ctx.unicast(to, Hop(self.rounds));
+            }
+            if self.rounds > 0 {
+                ctx.set_timer(SimDuration::from_millis(10), T::Tick);
+            }
+        }
+    }
+
+    /// Queued events matching `pred`.
+    fn queued<N: Node>(eng: &Engine<N>, pred: impl Fn(&PendingEvent<N::Timer>) -> bool) -> usize {
+        eng.queue.entries().filter(|&(_, _, ev)| pred(ev)).count()
+    }
+
+    /// The slab's reference-count invariant: every slot counts exactly the
+    /// queued events carrying its index, and exactly the referenced slots
+    /// hold a payload.
+    fn assert_slab_matches_queue<N: Node>(eng: &Engine<N>) {
+        let mut refs = vec![0u32; eng.slab.slots.len()];
+        for (_, _, ev) in eng.queue.entries() {
+            if let Some(slot) = ev.kind.slot() {
+                refs[slot as usize] += 1;
+            }
+        }
+        for (i, t) in eng.slab.slots.iter().enumerate() {
+            assert_eq!(t.refs, refs[i], "slot {i} reference count");
+            assert_eq!(t.msg.is_some(), refs[i] > 0, "slot {i} payload");
+        }
+        assert_eq!(eng.slab.live(), refs.iter().filter(|&&r| r > 0).count());
+    }
+
+    /// Steps until `cond` holds, checking the slab invariant on the way.
+    fn step_until<N: Node>(eng: &mut Engine<N>, cond: impl Fn(&Engine<N>) -> bool) {
+        while !cond(eng) {
+            assert!(eng.step(), "queue drained before the condition held");
+            assert_slab_matches_queue(eng);
+        }
+    }
+
+    /// Steps to quiescence, checking the slab invariant after every step;
+    /// the drained queue must leave no live slot.
+    fn drain_checked<N: Node>(eng: &mut Engine<N>) {
+        assert_slab_matches_queue(eng);
+        while eng.step() {
+            assert_slab_matches_queue(eng);
+        }
+        assert_eq!(eng.slab.live(), 0, "a drained queue leaves no live transmission");
+    }
+
+    #[test]
+    fn slab_releases_deliveries_to_dead_receivers() {
+        let mut eng = Engine::new(RadioModel::ideal(150.0), EnergyModel::disabled(), 3);
+        let b = NodeId::new(1);
+        eng.spawn(Talker::new(20, 100.0, vec![b]), Point::ORIGIN);
+        eng.spawn(Talker::default(), Point::new(50.0, 0.0));
+        let c = eng.spawn(Talker::default(), Point::new(-50.0, 0.0));
+        step_until(&mut eng, |e| {
+            queued(e, |ev| ev.to == b && matches!(ev.kind, EventKind::Deliver { .. })) >= 2
+        });
+        eng.inject_message(c, b, Hop(7), SimDuration::from_millis(5)).unwrap();
+        eng.kill(b).unwrap();
+        drain_checked(&mut eng);
+        assert_eq!(eng.node(b).unwrap().received, 0);
+        assert_eq!(eng.node(c).unwrap().received, 20, "the live receiver hears every round");
+    }
+
+    #[test]
+    fn slab_releases_when_energy_kills_the_receiver() {
+        // Idle drain: the receiver's first event settles more drain than
+        // its budget, so it dies in dispatch before the handler runs.
+        // Receive cost: the second charged reception empties the battery.
+        let idle = EnergyModel { tx_base: 0.0, tx_dist2: 0.0, rx: 0.0, idle: 1.0 };
+        let rx = EnergyModel { tx_base: 0.0, tx_dist2: 0.0, rx: 0.6, idle: 0.0 };
+        for (model, budget, heard) in [(idle, 1e-3, 0), (rx, 1.0, 1)] {
+            let mut eng = Engine::new(RadioModel::ideal(150.0), model, 3);
+            let b = NodeId::new(1);
+            eng.spawn(Talker::new(10, 100.0, vec![b]), Point::ORIGIN);
+            eng.spawn_at(Talker::default(), Point::new(50.0, 0.0), SimTime::ZERO, Some(budget));
+            drain_checked(&mut eng);
+            assert!(!eng.is_alive(b).unwrap(), "the receiver ran out of energy");
+            assert_eq!(eng.node(b).unwrap().received, heard);
+        }
+    }
+
+    #[test]
+    fn slab_releases_resends_of_killed_senders() {
+        // Co-located senders defer to each other; one is killed with a
+        // carrier-sense resend queued, the receiver with deliveries queued.
+        let mut eng = Engine::new(RadioModel::ideal(150.0), EnergyModel::disabled(), 7);
+        eng.set_contention(ContentionConfig::on());
+        let b = NodeId::new(0);
+        eng.spawn(Talker::default(), Point::new(100.0, 0.0));
+        let a1 = eng.spawn(Talker::new(50, 120.0, vec![b]), Point::ORIGIN);
+        eng.spawn(Talker::new(50, 120.0, vec![b]), Point::new(5.0, 0.0));
+        let resending = |e: &Engine<Talker>, who: NodeId| {
+            queued(e, |ev| {
+                ev.to == who
+                    && matches!(
+                        ev.kind,
+                        EventKind::ResendUnicast { .. } | EventKind::ResendBroadcast { .. }
+                    )
+            })
+        };
+        step_until(&mut eng, |e| resending(e, a1) > 0);
+        eng.kill(a1).unwrap();
+        step_until(&mut eng, |e| {
+            queued(e, |ev| ev.to == b && matches!(ev.kind, EventKind::Deliver { .. })) > 0
+        });
+        eng.kill(b).unwrap();
+        drain_checked(&mut eng);
+        assert!(eng.trace().mac_defers() > 0);
+    }
+
+    #[test]
+    fn slab_releases_collided_and_backoff_exhausted_frames() {
+        // Hidden terminals A — B — C collide at B.
+        let mut eng = Engine::new(RadioModel::ideal(150.0), EnergyModel::disabled(), 7);
+        eng.set_contention(ContentionConfig::on());
+        let b = eng.spawn(Talker::default(), Point::new(100.0, 0.0));
+        eng.spawn(Talker::new(30, 0.0, vec![b]), Point::ORIGIN);
+        eng.spawn(Talker::new(30, 0.0, vec![b]), Point::new(200.0, 0.0));
+        drain_checked(&mut eng);
+        assert!(eng.trace().mac_collisions() > 0, "hidden terminals collide");
+
+        // A one-retry budget: deferred frames whose retry also finds the
+        // channel busy are dropped.
+        let mut eng = Engine::new(RadioModel::ideal(150.0), EnergyModel::disabled(), 7);
+        eng.set_contention(ContentionConfig { max_backoffs: 1, ..ContentionConfig::on() });
+        let b = eng.spawn(Talker::default(), Point::new(100.0, 0.0));
+        for i in 0..4 {
+            eng.spawn(Talker::new(30, 120.0, vec![b]), Point::new(f64::from(i), 0.0));
+        }
+        drain_checked(&mut eng);
+        let t = eng.trace();
+        assert!(t.mac_defers() > 0 && t.mac_backoff_exhausted() > 0, "retries ran out");
+    }
+
+    #[test]
+    fn slab_releases_failed_unicasts() {
+        let mut eng = Engine::new(RadioModel::ideal(100.0), EnergyModel::disabled(), 3);
+        let dead = NodeId::new(1);
+        let far = NodeId::new(2);
+        let unknown = NodeId::new(99);
+        eng.spawn(Talker::new(10, 0.0, vec![unknown, dead, far]), Point::ORIGIN);
+        eng.spawn(Talker::default(), Point::new(50.0, 0.0));
+        eng.spawn(Talker::default(), Point::new(500.0, 0.0));
+        eng.kill(dead).unwrap();
+        drain_checked(&mut eng);
+        assert_eq!(eng.trace().unicast_failures(), 30);
+        assert_eq!(eng.trace().scheduled_deliveries(), 0);
+    }
+
+    #[test]
+    fn slab_releases_scripted_fates() {
+        let mut eng = Engine::new(RadioModel::ideal(150.0), EnergyModel::disabled(), 3);
+        let b = NodeId::new(1);
+        eng.spawn(Talker::new(10, 100.0, vec![b]), Point::ORIGIN);
+        eng.spawn(Talker::default(), Point::new(50.0, 0.0));
+        eng.spawn(Talker::default(), Point::new(-50.0, 0.0));
+        // Three attempts per round (two broadcast copies, one unicast).
+        let fates = [
+            Fate::Drop,
+            Fate::Collide,
+            Fate::Duplicate,
+            Fate::Delay(SimDuration::from_millis(35)),
+            Fate::Deliver,
+            Fate::Drop,
+            Fate::Duplicate,
+            Fate::Collide,
+            Fate::Delay(SimDuration::from_millis(15)),
+        ];
+        eng.faults_mut().install_script(fates.into_iter().enumerate().map(|(i, f)| (i as u64, f)));
+        drain_checked(&mut eng);
+        let t = eng.trace();
+        assert!(eng.faults().script().is_empty(), "every scripted fate was consumed");
+        assert_eq!((t.scripted_drops(), t.mac_collisions()), (2, 2));
+        assert_eq!((t.scripted_duplicates(), t.scripted_delays()), (2, 2));
+    }
+
+    #[test]
+    fn slab_releases_jammed_burst_and_lost_copies() {
+        use crate::faults::{BurstLoss, FaultConfig};
+        let mut eng = Engine::new(RadioModel::lossy(150.0, 0.3), EnergyModel::disabled(), 5);
+        eng.set_fault_config(FaultConfig {
+            burst: BurstLoss::bursty(0.2, 3.0),
+            unicast_loss: 0.2,
+            duplicate: 0.2,
+            delay_prob: 0.3,
+            delay_max: SimDuration::from_millis(40),
+        });
+        let b = NodeId::new(1);
+        eng.spawn(Talker::new(200, 100.0, vec![b]), Point::ORIGIN);
+        eng.spawn(Talker::default(), Point::new(50.0, 0.0));
+        eng.spawn(Talker::default(), Point::new(-50.0, 0.0));
+        let jammed = Point::new(0.0, 60.0);
+        eng.spawn(Talker::default(), jammed);
+        eng.faults_mut().start_jam(jammed, 5.0);
+        drain_checked(&mut eng);
+        let t = eng.trace();
+        assert!(t.dropped_by_jam() > 0 && t.dropped_by_burst() > 0);
+        assert!(t.broadcast_losses() > 0 && t.dropped_unicast() > 0);
+        assert!(t.duplicated() > 0 && t.delayed() > 0);
+    }
+
+    #[test]
+    fn slab_does_not_grow_over_repeated_broadcast_rounds() {
+        // Regression guard for slot reuse: a freed slot returns to the free
+        // list, so a thousand rounds need no more slots than the first few.
+        let mut eng = Engine::new(RadioModel::ideal(150.0), EnergyModel::disabled(), 3);
+        eng.spawn(Talker::new(1000, 100.0, vec![NodeId::new(1)]), Point::ORIGIN);
+        for i in 1..6 {
+            eng.spawn(Talker::default(), Point::new(10.0 * f64::from(i), 0.0));
+        }
+        eng.run_until(SimTime::from_micros(100_000));
+        let early = eng.slab.slots.len();
+        drain_checked(&mut eng);
+        assert_eq!(eng.node(NodeId::new(2)).unwrap().received, 1000);
+        assert_eq!(eng.slab.slots.len(), early, "slot vector grew with the round count");
+        assert!(early <= 2, "one broadcast and one unicast in flight at a time, got {early}");
+    }
+
+    #[test]
+    fn slab_forks_with_the_engine() {
+        // A clone taken with transmissions in flight owns its own slab: both
+        // forks replay the same future and each drains to an empty slab.
+        let mut eng = Engine::new(RadioModel::ideal(150.0), EnergyModel::disabled(), 3);
+        let b = NodeId::new(1);
+        eng.spawn(Talker::new(20, 100.0, vec![b]), Point::ORIGIN);
+        eng.spawn(Talker::default(), Point::new(50.0, 0.0));
+        step_until(&mut eng, |e| e.slab.live() > 1);
+        let mut fork = eng.clone();
+        assert_eq!(fork.pending_event_hashes(), eng.pending_event_hashes());
+        drain_checked(&mut eng);
+        drain_checked(&mut fork);
+        assert_eq!(fork.trace().digest(), eng.trace().digest());
+        assert_eq!(fork.node(b).unwrap().received, eng.node(b).unwrap().received);
     }
 }

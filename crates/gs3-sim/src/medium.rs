@@ -106,9 +106,9 @@ impl Default for ContentionConfig {
     }
 }
 
-/// The airtime window of one transmission, attached to every delivery it
-/// schedules. `id == 0` means "no window" (contention disabled) and is
-/// excluded from all determinism hashes.
+/// The airtime window of one transmission, stored with it and read by every
+/// delivery it schedules. `id == 0` means "no window" (contention disabled)
+/// and is excluded from all determinism hashes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxWindow {
     /// Monotonic transmission id; 0 is the "none" sentinel.
@@ -120,8 +120,8 @@ pub struct TxWindow {
 }
 
 impl TxWindow {
-    /// The no-window sentinel carried by every delivery while contention
-    /// is disabled.
+    /// The no-window sentinel carried by every transmission while
+    /// contention is disabled.
     pub const NONE: TxWindow = TxWindow { id: 0, start_us: 0, end_us: 0 };
 
     /// True for the sentinel.

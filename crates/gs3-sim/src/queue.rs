@@ -13,6 +13,14 @@
 //!   differential-testing oracle. The `heap-queue` feature swaps it back in
 //!   as [`EventQueue`] so whole-network digest runs can be replayed under
 //!   either implementation and byte-compared.
+//!
+//! Both store entries by value, so an entry's size is the queue's memory
+//! cost per pending event
+//! ([`Engine::queued_event_bytes`](crate::Engine::queued_event_bytes)).
+//! The engine keeps its entries small: a transmission's payload, episode
+//! tag and airtime window live once in the engine's transmission slab, and
+//! each delivery it schedules queues only the slab index (see
+//! [`crate::engine`]).
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -44,6 +52,12 @@ impl<E> Ord for Entry<E> {
         // BinaryHeap is a max-heap; invert for earliest-first.
         other.at.cmp(&self.at).then_with(|| other.seq.cmp(&self.seq))
     }
+}
+
+/// Bytes one pending entry with payload `E` occupies — firing time,
+/// scheduling rank and payload — under either queue implementation.
+pub(crate) const fn entry_bytes<E>() -> usize {
+    std::mem::size_of::<Entry<E>>()
 }
 
 /// The event queue the engine runs on. `RadixQueue` by default; building
